@@ -20,6 +20,14 @@ struct OpenSpan {
   double start_wall = 0.0;
 };
 
+/// Finished spans: a ring of at most SpanTracer::kMaxRecords, whose oldest
+/// record sits at `head` once it is full.
+struct RecordRing {
+  std::vector<SpanRecord> records;
+  std::size_t head = 0;
+  std::uint64_t dropped = 0;
+};
+
 // Deliberately leaked: the DFGEN_METRICS_OUT atexit flush reads the
 // records during process teardown, after function-local statics in other
 // translation units may already be gone.
@@ -27,9 +35,9 @@ std::mutex& record_mutex() {
   static std::mutex* mutex = new std::mutex;
   return *mutex;
 }
-std::vector<SpanRecord>& finished_records() {
-  static std::vector<SpanRecord>* records = new std::vector<SpanRecord>;
-  return *records;
+RecordRing& finished_records() {
+  static RecordRing* ring = new RecordRing;
+  return *ring;
 }
 std::atomic<std::uint64_t> g_next_id{1};
 std::atomic<std::uint64_t> g_next_thread{1};
@@ -83,7 +91,14 @@ void SpanTracer::end(std::uint64_t token, double sim_seconds) {
     record.thread = thread_index();
     t_stack.erase(t_stack.begin() + static_cast<std::ptrdiff_t>(i - 1));
     std::scoped_lock lock(record_mutex());
-    finished_records().push_back(std::move(record));
+    RecordRing& ring = finished_records();
+    if (ring.records.size() < kMaxRecords) {
+      ring.records.push_back(std::move(record));
+    } else {
+      ring.records[ring.head] = std::move(record);
+      ring.head = (ring.head + 1) % kMaxRecords;
+      ++ring.dropped;
+    }
     return;
   }
 }
@@ -94,12 +109,24 @@ std::uint64_t SpanTracer::current() const {
 
 std::vector<SpanRecord> SpanTracer::records() const {
   std::scoped_lock lock(record_mutex());
-  return finished_records();
+  const RecordRing& ring = finished_records();
+  std::vector<SpanRecord> out;
+  out.reserve(ring.records.size());
+  const auto head =
+      ring.records.begin() + static_cast<std::ptrdiff_t>(ring.head);
+  out.insert(out.end(), head, ring.records.end());
+  out.insert(out.end(), ring.records.begin(), head);
+  return out;
+}
+
+std::uint64_t SpanTracer::dropped() const {
+  std::scoped_lock lock(record_mutex());
+  return finished_records().dropped;
 }
 
 void SpanTracer::clear() {
   std::scoped_lock lock(record_mutex());
-  finished_records().clear();
+  finished_records() = RecordRing{};
 }
 
 std::string SpanTracer::to_chrome_trace() const {

@@ -15,8 +15,14 @@
 //
 // The tracer is gated by the metrics registry's DFGEN_METRICS flag: while
 // disabled, begin() hands out the null token and everything is a no-op.
+//
+// Retention is bounded: the tracer keeps the most recent kMaxRecords
+// finished spans and counts the older ones it drops, so a long-running
+// process holds a fixed amount of span memory however many evaluations it
+// serves.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +42,9 @@ struct SpanRecord {
 
 class SpanTracer {
  public:
+  /// Finished spans retained (about 150 bytes each).
+  static constexpr std::size_t kMaxRecords = std::size_t{1} << 16;
+
   static SpanTracer& instance();
 
   /// Opens a span under the calling thread's innermost open span. Returns
@@ -48,7 +57,11 @@ class SpanTracer {
   /// The id of the calling thread's innermost open span (0 when none).
   std::uint64_t current() const;
 
+  /// The retained spans, oldest first.
   std::vector<SpanRecord> records() const;
+  /// Finished spans dropped to keep retention at kMaxRecords since the
+  /// last clear().
+  std::uint64_t dropped() const;
   void clear();
 
   /// Chrome trace-event JSON ("X" complete events, one tid per thread,

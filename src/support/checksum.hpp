@@ -1,20 +1,36 @@
-// Seeded FNV-1a checksums for end-to-end transfer integrity.
+// Seeded FNV-1a checksums: text/byte keys and the transfer digest.
 //
 // Real many-core deployments treat silent data corruption — a flipped bit
 // on a DMA transfer, a marginal memory module — as a first-class fault. The
-// command queue computes a checksum of every transfer's source before the
+// command queue digests every transfer's source in the same pass as the
 // copy and verifies the destination afterwards, so one corrupted word is
 // detected before it can propagate into a derived field. FNV-1a is chosen
 // for the same reason production transports use cheap non-cryptographic
-// checksums: one multiply and one xor per word, and a single flipped bit
-// anywhere in the covered words changes the digest with certainty (the
-// xor-then-multiply pipeline never cancels a single-word change; two runs
-// collide only if the data actually differs in 2+ compensating words, odds
-// ~2^-64 for random corruption).
+// checksums: one xor and one multiply per word.
 //
-// `stride` subsamples every stride-th word to bound the cost on very large
-// transfers; stride 1 (the queue's default) covers every word and therefore
-// detects every single-word flip deterministically.
+// Layout of the transfer digest (`checksum_floats`). The words are cut
+// into fixed blocks of kDigestBlockWords (1 MiB of floats); the last block
+// may be short. Within a block, word i feeds lane i mod kDigestLanes, so
+// the kDigestLanes multiply chains are independent and run in parallel in
+// the core instead of one serial chain. Each lane starts from a value
+// derived from the seed, the word count and its (block, lane) position. A
+// block's value folds its lanes in lane order; the digest folds the block
+// values in block order. Blocks are hashed independently (through
+// support::parallel_for once a transfer spans several of them), and the
+// value never depends on the worker count.
+//
+// Why a single changed word is always detected: every lane step
+// h' = (h ^ w) * prime is a bijection of h for a fixed word (xor is
+// invertible and the prime is odd, so multiplication mod 2^64 is too) and
+// a bijection of w for a fixed h. A changed word therefore changes its
+// lane's state at that step, and the remaining steps of that lane, being
+// bijective, can never map two different states onto one. The fold steps
+// D' = (D ^ v) * prime are bijective in both D and v the same way, so the
+// one changed lane value changes its block value, and the one changed block
+// value changes the digest. Two buffers collide only if they differ in two
+// or more compensating words (odds ~2^-64 for random corruption). The word
+// count is mixed into every lane's start, so a truncated buffer collides
+// with its prefix only by the same chance.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +42,11 @@ namespace dfg::support {
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Independent multiply chains per digest block.
+inline constexpr std::size_t kDigestLanes = 8;
+/// Words per digest block: 1 MiB of floats.
+inline constexpr std::size_t kDigestBlockWords = (std::size_t{1} << 20) / 4;
 
 /// FNV-1a over raw bytes, starting from `seed` (chain calls to checksum a
 /// logical record spread over several buffers).
@@ -43,11 +64,15 @@ inline std::uint64_t fnv1a(const char* text,
   return fnv1a(std::string_view(text), seed);
 }
 
-/// Checksum of a float array sampling every `stride`-th word (stride 0 is
-/// treated as 1). The word count is mixed in first, so a truncated buffer
-/// never collides with its prefix.
+/// Transfer digest of a float array (layout above): covers every word.
 std::uint64_t checksum_floats(std::span<const float> values,
-                              std::uint64_t seed = kFnvOffsetBasis,
-                              std::size_t stride = 1);
+                              std::uint64_t seed = kFnvOffsetBasis);
+
+/// Copies `source` into the front of `destination` (which must be at least
+/// as long) and returns checksum_floats(source, seed), computed in the
+/// same pass: each block is copied and hashed by the same worker.
+std::uint64_t copy_and_checksum_floats(std::span<const float> source,
+                                       std::span<float> destination,
+                                       std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace dfg::support

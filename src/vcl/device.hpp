@@ -186,6 +186,10 @@ class Device {
   MemoryTracker& memory() { return memory_; }
   const MemoryTracker& memory() const { return memory_; }
 
+  /// This device's share of the recycled buffer storage (vcl/buffer.hpp).
+  StoragePool& storage() { return storage_; }
+  const StoragePool& storage() const { return storage_; }
+
   /// Fault-injection state: arm a FaultPlan here to synthesize allocation
   /// failures, transient command errors, or whole-device loss. Unarmed, the
   /// injector is inert and the device behaves exactly as before.
@@ -240,6 +244,8 @@ class Device {
  private:
   DeviceSpec spec_;
   MemoryTracker memory_;
+  /// Declared before resident_: outlives the buffers the pool releases.
+  StoragePool storage_;
   FaultInjector fault_;
   RetryPolicy retry_;
   double watchdog_factor_ = 8.0;

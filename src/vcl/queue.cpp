@@ -40,9 +40,8 @@ void count_event(const std::string& device, EventKind kind, std::size_t bytes,
 
 void CommandQueue::run_command(
     EventKind site, const std::string& label, std::size_t bytes,
-    std::uint64_t flops, double estimate_seconds,
-    const std::function<std::uint64_t()>& source_checksum,
-    const std::function<std::span<float>()>& execute) {
+    std::uint64_t flops, double estimate_seconds, bool verify,
+    const std::function<std::span<float>(std::uint64_t&)>& execute) {
   FaultInjector& fault = device_->fault();
   const bool armed = fault.armed();
   if (armed) fault.set_sink(log_);
@@ -106,34 +105,32 @@ void CommandQueue::run_command(
       continue;
     }
 
-    const std::uint64_t expected =
-        source_checksum ? source_checksum() : 0;
+    std::uint64_t expected = 0;
     support::Stopwatch watch;
-    const std::span<float> destination = execute();
-    const double wall = watch.seconds();
-
+    const std::span<float> destination = execute(expected);
     if (armed && perturbation.corrupt && !destination.empty()) {
       fault.corrupt_word(site, label, destination);
     }
-    if (source_checksum) {
-      // End-to-end integrity: the destination must mirror the source bit
-      // for bit. A mismatch re-executes the transfer (charged — the
-      // corrupted transfer consumed device time) until the retry budget is
-      // spent, then escalates as DataCorruption.
-      const std::uint64_t actual =
-          support::checksum_floats(destination, integrity_seed_);
-      if (actual != expected) {
-        log_->record(Event{EventKind::integrity,
-                           "checksum:" + std::string(site_name) + ":" +
-                               label,
-                           bytes, 0, charged, wall});
-        count_event(device_name, EventKind::integrity, bytes, 0, charged);
-        span.add_sim_seconds(charged);
-        if (attempt >= policy.max_attempts) {
-          throw DataCorruption(device_->spec().name, site_name, label);
-        }
-        continue;
+    // End-to-end integrity: the destination must mirror the source bit for
+    // bit.
+    const bool intact =
+        !verify ||
+        support::checksum_floats(destination, integrity_seed_) == expected;
+    const double wall = watch.seconds();
+
+    if (!intact) {
+      // A mismatch re-executes the transfer (charged — the corrupted
+      // transfer consumed device time) until the retry budget is spent,
+      // then escalates as DataCorruption.
+      log_->record(Event{EventKind::integrity,
+                         "checksum:" + std::string(site_name) + ":" + label,
+                         bytes, 0, charged, wall});
+      count_event(device_name, EventKind::integrity, bytes, 0, charged);
+      span.add_sim_seconds(charged);
+      if (attempt >= policy.max_attempts) {
+        throw DataCorruption(device_->spec().name, site_name, label);
       }
+      continue;
     }
 
     log_->record(Event{site, label, bytes, flops, charged, wall});
@@ -157,14 +154,17 @@ void CommandQueue::write(Buffer& buffer, std::span<const float> host,
                       std::to_string(buffer.size()));
   }
   const std::size_t bytes = host.size() * sizeof(float);
-  run_command(
-      EventKind::host_to_device, label, bytes, 0,
-      cost_.transfer_seconds(bytes),
-      [&] { return support::checksum_floats(host, integrity_seed_); },
-      [&]() -> std::span<float> {
-        std::copy(host.begin(), host.end(), buffer.device_view().begin());
-        return buffer.device_view().first(host.size());
-      });
+  const std::span<float> view = buffer.device_view();
+  std::fill(view.begin() + static_cast<std::ptrdiff_t>(host.size()),
+            view.end(), 0.0f);
+  run_command(EventKind::host_to_device, label, bytes, 0,
+              cost_.transfer_seconds(bytes), /*verify=*/true,
+              [&](std::uint64_t& source_digest) -> std::span<float> {
+                const std::span<float> destination = view.first(host.size());
+                source_digest = support::copy_and_checksum_floats(
+                    host, destination, integrity_seed_);
+                return destination;
+              });
 }
 
 void CommandQueue::read(const Buffer& buffer, std::span<float> host,
@@ -175,18 +175,14 @@ void CommandQueue::read(const Buffer& buffer, std::span<float> host,
                       std::to_string(buffer.size()));
   }
   const std::size_t bytes = buffer.bytes();
-  run_command(
-      EventKind::device_to_host, label, bytes, 0,
-      cost_.transfer_seconds(bytes),
-      [&] {
-        return support::checksum_floats(buffer.device_view(),
-                                        integrity_seed_);
-      },
-      [&]() -> std::span<float> {
-        const auto view = buffer.device_view();
-        std::copy(view.begin(), view.end(), host.begin());
-        return host.first(buffer.size());
-      });
+  run_command(EventKind::device_to_host, label, bytes, 0,
+              cost_.transfer_seconds(bytes), /*verify=*/true,
+              [&](std::uint64_t& source_digest) -> std::span<float> {
+                const std::span<float> destination = host.first(buffer.size());
+                source_digest = support::copy_and_checksum_floats(
+                    buffer.device_view(), destination, integrity_seed_);
+                return destination;
+              });
 }
 
 void CommandQueue::launch(const KernelLaunch& launch) {
@@ -198,8 +194,8 @@ void CommandQueue::launch(const KernelLaunch& launch) {
       launch.flops,
       cost_.kernel_seconds(launch.flops, launch.global_bytes,
                            launch.registers_used, launch.compute_efficiency),
-      nullptr,  // kernel output integrity is covered by the readback
-      [&]() -> std::span<float> {
+      /*verify=*/false,
+      [&](std::uint64_t&) -> std::span<float> {
         support::parallel_for(launch.ndrange, launch.body, launch.grain);
         return {};
       });

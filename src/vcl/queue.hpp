@@ -15,10 +15,12 @@
 //     attempt probes the device); a slowdown escalates as DeviceTimeout
 //     immediately — it is a device-wide condition and re-probing would
 //     only burn another deadline;
-//   * end-to-end transfer integrity — a seeded FNV-1a checksum of every
-//     transfer's source is verified against its destination after the
-//     copy; a mismatch (an injected bit-flip) is charged as a Chksum event
-//     and the transfer re-executed, then DataCorruption escapes.
+//   * end-to-end transfer integrity — every transfer digests its source
+//     in the same pass as the copy (support::copy_and_checksum_floats) and
+//     verifies the destination against it afterwards; a mismatch (an
+//     injected bit-flip) is charged as a Chksum event and the transfer
+//     re-executed, then DataCorruption escapes. Both passes run inside the
+//     command's wall-clock stopwatch.
 // Both layers are pure observers on a healthy device: the command stream,
 // event counts and simulated durations of a fault-free run are
 // byte-identical to a build without them.
@@ -79,7 +81,8 @@ class CommandQueue {
   ProfilingLog& log() { return *log_; }
 
   /// Host-to-device transfer (clEnqueueWriteBuffer). `host` must not exceed
-  /// the buffer extent.
+  /// the buffer extent; a shorter write zero-fills the rest of the buffer,
+  /// whose recycled storage would otherwise hold stale words.
   void write(Buffer& buffer, std::span<const float> host,
              const std::string& label);
 
@@ -96,14 +99,15 @@ class CommandQueue {
   /// gate (transient retries with seeded backoff), watchdog deadline, the
   /// command body, integrity verification, and event recording. `execute`
   /// performs the data movement / dispatch and returns the destination
-  /// span to verify (empty span = no verification, used by kernels whose
-  /// output integrity is covered by the later readback checksum).
-  /// `source_checksum` is recomputed per attempt for transfers.
-  void run_command(EventKind site, const std::string& label,
-                   std::size_t bytes, std::uint64_t flops,
-                   double estimate_seconds,
-                   const std::function<std::uint64_t()>& source_checksum,
-                   const std::function<std::span<float>()>& execute);
+  /// span. A transfer (`verify` set) also stores the digest of its source,
+  /// computed in the same pass as the copy on every attempt, through the
+  /// argument, and its destination is verified against it. Kernels pass
+  /// `verify` false: their output integrity is covered by the later
+  /// readback checksum.
+  void run_command(
+      EventKind site, const std::string& label, std::size_t bytes,
+      std::uint64_t flops, double estimate_seconds, bool verify,
+      const std::function<std::span<float>(std::uint64_t&)>& execute);
 
   /// Marks a command complete (advances the device-loss countdown).
   void complete();

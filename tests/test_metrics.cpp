@@ -194,6 +194,26 @@ TEST(MetricsRegistry, DisablingKeepsCountersButDropsGaugesAndSpans) {
   obs::SpanTracer::instance().clear();
 }
 
+TEST(Spans, RetentionKeepsTheMostRecentSpansAndCountsTheDropped) {
+  obs::ScopedMetricsRegistry scoped;
+  obs::SpanTracer& tracer = obs::SpanTracer::instance();
+  tracer.clear();
+  constexpr std::size_t kExtra = 5;
+  std::uint64_t first_kept = 0;
+  for (std::size_t i = 0; i < obs::SpanTracer::kMaxRecords + kExtra; ++i) {
+    obs::Span span("s", "command");
+    if (i == kExtra) first_kept = tracer.current();
+  }
+  const std::vector<obs::SpanRecord> records = tracer.records();
+  ASSERT_EQ(records.size(), obs::SpanTracer::kMaxRecords);
+  EXPECT_EQ(tracer.dropped(), kExtra);
+  EXPECT_EQ(records.front().id, first_kept);
+  EXPECT_LT(records.front().id, records.back().id);
+  tracer.clear();
+  EXPECT_TRUE(tracer.records().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 // ----- span hierarchy -----
 
 TEST(Spans, EvaluationProducesRequestAttemptCommandHierarchy) {

@@ -850,4 +850,51 @@ TEST(ResidentPoolService, ConcurrentInvalidateWhilePinnedIsCoherentAndSafe) {
             device.resident().watermark_bytes());
 }
 
+TEST(ResidentPoolService, InvalidateRecyclesStorageWhileAnotherThreadAllocates) {
+  // Invalidation on one thread releases resident buffers into the device's
+  // storage free list while this thread's evaluations and allocations take
+  // storage from it and give it back.
+  Workload workload;
+  const std::size_t cells = workload.mesh.cell_count();
+  std::vector<float> reference;
+  {
+    vcl::Device cold(pool_spec(64 * cells));
+    Engine engine(cold);
+    workload.bind(engine);
+    reference = engine.evaluate(expressions::kQCriterion).values;
+  }
+
+  vcl::Device device(pool_spec(64 * cells));
+  EngineOptions options;
+  options.resident_pool = true;
+  Engine evaluator(device, options);
+  workload.bind(evaluator);
+  Engine invalidator(device, options);
+  workload.bind(invalidator);
+
+  std::atomic<bool> stop{false};
+  std::thread hammer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      invalidator.invalidate("u");
+      invalidator.invalidate("v");
+      invalidator.invalidate("w");
+    }
+  });
+  for (int round = 0; round < 40; ++round) {
+    dfg::test::expect_bits_equal(
+        evaluator.evaluate(expressions::kQCriterion).values, reference,
+        "evaluation beside an invalidation storm");
+    const vcl::Buffer scratch = device.allocate(cells);
+    EXPECT_EQ(scratch.size(), cells);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  hammer.join();
+
+  // Only residents stay live, and recycling kept within its bound.
+  EXPECT_EQ(device.memory().in_use(), device.resident().resident_bytes());
+  const vcl::StoragePool::Totals totals = vcl::StoragePool::totals();
+  EXPECT_LE(totals.retained_bytes + totals.live_bytes,
+            totals.peak_live_bytes);
+}
+
 }  // namespace

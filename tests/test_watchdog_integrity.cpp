@@ -7,7 +7,10 @@
 // streams byte-identical to a policy-off run (the paper's Table II counts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "support/checksum.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "vcl/catalog.hpp"
 #include "vcl/trace.hpp"
 
@@ -253,6 +257,54 @@ TEST(Integrity, EveryWordOfEveryTransferIsCovered) {
   EXPECT_NE(support::checksum_floats(
                 std::span<const float>(data).first(999), 42),
             clean);
+
+  // The lane/block layout: sizes straddling every lane-group and block
+  // edge, flips at the first and last word of a lane group, of every block
+  // and of the tail, and one digest whatever the worker count.
+  constexpr std::size_t kLanes = support::kDigestLanes;
+  constexpr std::size_t kBlock = support::kDigestBlockWords;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, kBlock - 1, kBlock, kBlock + 1,
+                              3 * kBlock + 5}) {
+    std::vector<float> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = static_cast<float>(i % 977) * 0.25f - 3.0f;
+    }
+    const std::uint64_t digest = support::checksum_floats(values, 42);
+
+    std::vector<std::size_t> words = {0, std::min(kLanes, n) - 1,
+                                      n - 1 - (n - 1) % kLanes, n - 1};
+    for (std::size_t begin = 0; begin < n; begin += kBlock) {
+      words.push_back(begin);
+      words.push_back(std::min(n, begin + kBlock) - 1);
+    }
+    for (const std::size_t word : words) {
+      std::vector<float> flipped = values;
+      std::uint32_t bits;
+      std::memcpy(&bits, &flipped[word], sizeof(bits));
+      bits ^= 1u << (word % 23);
+      std::memcpy(&flipped[word], &bits, sizeof(bits));
+      EXPECT_NE(support::checksum_floats(flipped, 42), digest)
+          << "flip at word " << word << " of " << n << " went undetected";
+    }
+    if (n > 1) {
+      EXPECT_NE(support::checksum_floats(
+                    std::span<const float>(values).first(n - 1), 42),
+                digest)
+          << "truncation of " << n << " words went undetected";
+    }
+
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      support::set_worker_count(workers);
+      EXPECT_EQ(support::checksum_floats(values, 42), digest)
+          << n << " words on " << workers << " workers";
+      std::vector<float> copy(n);
+      EXPECT_EQ(support::copy_and_checksum_floats(values, copy, 42), digest)
+          << n << " words copied on " << workers << " workers";
+      EXPECT_EQ(copy, values);
+    }
+    support::set_worker_count(0);
+  }
 }
 
 // -------------------------------------------------- observability & traces
