@@ -40,8 +40,8 @@ double run_strategy(dfg::runtime::StrategyKind kind, std::size_t elements,
   }
   dfg::vcl::Device device(dfgbench::scaled_cpu());
   dfg::vcl::ProfilingLog log;
-  const auto strategy = dfg::runtime::make_strategy(kind);
-  strategy->execute(network, bindings, elements, device, log);
+  dfg::runtime::execute_strategy(kind, network, bindings, elements, device,
+                                 log);
   if (high_water != nullptr) *high_water = device.memory().high_water();
   return log.total_sim_seconds();
 }

@@ -31,8 +31,8 @@ namespace dfg {
 struct EngineOptions {
   runtime::StrategyKind strategy = runtime::StrategyKind::fusion;
   dataflow::SpecOptions spec_options;
-  /// Streamed strategy only: target cells per chunk (0 = auto-size from
-  /// the device's free memory).
+  /// Streamed strategy only: target cells per chunk (0 = auto-size; see
+  /// runtime::CommandPlan::chunk_planes).
   std::size_t streamed_chunk_cells = 0;
   /// Degradation and retry behaviour. Disabled by default: a strategy that
   /// does not fit throws DeviceOutOfMemory, matching the paper's aborted

@@ -376,7 +376,7 @@ DistributedReport DistributedEngine::evaluate(
     if (config_.straggler_budget_factor > 0.0) {
       const double estimate = runtime::estimate_sim_seconds(
           network, bindings, elements, config_.device_spec, outcome.executed,
-          backend ? backend->compute_efficiency() : 0.0);
+          0, nullptr, backend ? backend->compute_efficiency() : 0.0);
       const double reference = std::max(estimate, fastest_clean);
       if (reference > 0.0 &&
           duration > config_.straggler_budget_factor * reference) {

@@ -68,11 +68,10 @@ FallbackOutcome execute_with_fallback(const dataflow::Network& network,
           {kind, kMemoryLadder[pos + 1], std::string(category) + ": " + what});
     };
     try {
-      const auto strategy = make_strategy(kind, streamed_chunk_cells);
-      // A throw below unwinds the strategy's RAII buffers, releasing all
+      // A throw below unwinds the plan's RAII buffers, releasing all
       // partially-written device state before the next rung re-plans.
-      outcome.values =
-          strategy->execute(network, bindings, elements, device, log);
+      outcome.values = execute_strategy(kind, network, bindings, elements,
+                                        device, log, streamed_chunk_cells);
       outcome.executed = kind;
       finish_attempt("ok");
       return outcome;

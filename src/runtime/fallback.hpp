@@ -108,8 +108,8 @@ std::size_t ladder_position(StrategyKind kind);
 
 /// Executes `network` starting at `requested`, degrading along the ladder
 /// per `policy`. With the policy disabled this is exactly
-/// make_strategy(requested)->execute(...): same command stream, same
-/// errors. Throws the last rung's error when no rung succeeds.
+/// execute_strategy(requested, ...): same command stream, same errors.
+/// Throws the last rung's error when no rung succeeds.
 FallbackOutcome execute_with_fallback(const dataflow::Network& network,
                                       const FieldBindings& bindings,
                                       std::size_t elements,

@@ -1,11 +1,8 @@
 #include "runtime/multidevice.hpp"
 
 #include <algorithm>
-#include <memory>
 
-#include "kernels/generator.hpp"
-#include "kernels/program_cache.hpp"
-#include "runtime/slab.hpp"
+#include "runtime/strategy.hpp"
 #include "support/error.hpp"
 
 namespace dfg::runtime {
@@ -21,12 +18,9 @@ MultiDeviceReport execute_multi_device_fusion(
     throw NetworkError("multi-device execution needs one log per device");
   }
 
-  const std::shared_ptr<const kernels::Program> program_ptr =
-      kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
-  const SlabPlan plan = make_slab_plan(program, bindings, elements);
-  const std::vector<SlabParam> params =
-      resolve_slab_params(program, bindings);
+  // One slab plan, run once per device over that device's planes.
+  CommandPlan plan =
+      lower(StrategyKind::streamed, network, bindings, elements);
 
   MultiDeviceReport report;
   report.values.assign(elements, 0.0f);
@@ -34,16 +28,17 @@ MultiDeviceReport execute_multi_device_fusion(
   // Contiguous plane ranges, near-even split; trailing devices may idle
   // when there are fewer planes than devices.
   const std::size_t device_count = devices.size();
-  const std::size_t base = plan.total_planes / device_count;
-  const std::size_t extra = plan.total_planes % device_count;
+  const std::size_t base = plan.slab.total_planes / device_count;
+  const std::size_t extra = plan.slab.total_planes % device_count;
   std::size_t begin = 0;
   for (std::size_t d = 0; d < device_count; ++d) {
     const std::size_t span = base + (d < extra ? 1 : 0);
     if (span == 0) continue;
-    const std::size_t end = begin + span;
-    run_fused_slab(program, params, plan, begin, end, *devices[d],
-                   logs[d], report.values);
-    begin = end;
+    plan.begin_plane = begin;
+    plan.end_plane = begin + span;
+    plan.chunk_planes = span;
+    run_plan(plan, *devices[d], logs[d], report.values);
+    begin += span;
     ++report.devices_used;
   }
 

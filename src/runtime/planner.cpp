@@ -1,14 +1,9 @@
 #include "runtime/planner.hpp"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "kernels/backend.hpp"
-#include "kernels/generator.hpp"
-#include "kernels/primitives.hpp"
-#include "kernels/program_cache.hpp"
-#include "runtime/slab.hpp"
 #include "support/error.hpp"
 #include "vcl/cost_model.hpp"
 
@@ -16,8 +11,11 @@ namespace dfg::runtime {
 
 namespace {
 
+using Op = Command::Op;
+using Data = Command::Data;
+
 /// Resolves the 0 = "process default" sentinel of the public estimators:
-/// an engine-less caller executes launch_program under the DFGEN_BACKEND
+/// an engine-less caller executes launches under the DFGEN_BACKEND
 /// backend, so that is the efficiency its measured simulated time carries.
 double resolve_efficiency(double requested) {
   if (requested > 0.0) return requested;
@@ -25,280 +23,160 @@ double resolve_efficiency(double requested) {
       ->compute_efficiency();
 }
 
-/// True when `residency` marks the node as a warm field input (its device
-/// buffer already exists, so a strategy neither allocates nor uploads it).
-bool warm_field(const dataflow::NetworkSpec& spec, int id,
-                const Residency* residency) {
-  if (residency == nullptr) return false;
-  const dataflow::SpecNode& node = spec.node(id);
-  return node.type == dataflow::NodeType::field_source &&
-         residency->is_warm(node.field_name);
-}
+/// Replays a plan's commands without executing them: the allocations and
+/// frees the interpreter makes, for the device-memory peak, and — given a
+/// cost model — the transfers and kernels it enqueues, priced with the
+/// sizes it would give them. Warm field uploads (per `residency`) neither
+/// allocate nor transfer: their buffers are resident already.
+class Walker {
+ public:
+  Walker(const CommandPlan& plan, const Residency* residency,
+         const vcl::CostModel* cost = nullptr, double efficiency = 0.0)
+      : plan_(plan),
+        residency_(residency),
+        cost_(cost),
+        efficiency_(efficiency),
+        // An unresolved chunk size takes the one-plane floor.
+        step_(plan.chunk_planes != 0 ? plan.chunk_planes
+                                     : chunk_planes(plan.slab, 0)),
+        floats_(static_cast<std::size_t>(plan.buffers)),
+        charged_(static_cast<std::size_t>(plan.buffers)) {}
 
-/// Floats a node's value occupies on the host / in a device buffer.
-std::size_t value_floats(const dataflow::NetworkSpec& spec, int id,
-                         const FieldBindings& bindings,
-                         std::size_t elements) {
-  const dataflow::SpecNode& node = spec.node(id);
-  switch (node.type) {
-    case dataflow::NodeType::field_source:
-      return bindings.get(node.field_name).size();
-    case dataflow::NodeType::constant:
-      return elements;
-    case dataflow::NodeType::filter:
-      return elements * (node.components == 1 ? 1 : 4);
-  }
-  return 0;
-}
-
-std::size_t roundtrip_high_water(const dataflow::Network& network,
-                                 const FieldBindings& bindings,
-                                 std::size_t elements,
-                                 const Residency* residency) {
-  const auto& spec = network.spec();
-  std::size_t peak_floats = 0;
-  for (const dataflow::SpecNode& node : spec.nodes()) {
-    if (node.type != dataflow::NodeType::filter) continue;
-    if (node.kind == "decompose") continue;  // host-side slicing
-    std::size_t kernel_floats = 0;
-    for (const int in : node.inputs) {
-      if (warm_field(spec, in, residency)) continue;  // resident already
-      kernel_floats += value_floats(spec, in, bindings, elements);
+  /// One run of the commands over `cells` cells (the element count of a
+  /// flat plan, one chunk's slab cells of a slab plan). Returns the run's
+  /// (upload, kernel, read) seconds.
+  vcl::ChunkCost walk(std::size_t cells) {
+    vcl::ChunkCost chunk;
+    for (const Command& cmd : plan_.commands) {
+      switch (cmd.op) {
+        case Op::alloc:
+        case Op::upload: {
+          const std::size_t n = cmd.floats + cmd.stride * cells;
+          const bool warm = cmd.op == Op::upload && cmd.data == Data::field &&
+                            residency_ != nullptr &&
+                            residency_->is_warm(cmd.field);
+          floats_[cmd.buffer] = n;
+          charged_[cmd.buffer] = warm ? 0 : n;
+          if (warm) break;
+          live_ += n;
+          peak_ = std::max(peak_, live_);
+          if (cmd.op == Op::upload) chunk.upload += transfer(n, writes_);
+          break;
+        }
+        case Op::launch:
+          if (cost_ != nullptr) {
+            const kernels::Program& program = *cmd.program;
+            const double seconds = cost_->kernel_seconds(
+                program.flops_per_item() * cells,
+                program.global_bytes_per_item() * cells,
+                program.max_live_scalar_registers(), efficiency_);
+            chunk.kernel += seconds;
+            kernels_ += seconds;
+          }
+          break;
+        case Op::read:
+          chunk.read += transfer(floats_[cmd.buffer], reads_);
+          break;
+        case Op::free:
+          live_ -= charged_[cmd.buffer];
+          charged_[cmd.buffer] = 0;
+          break;
+        case Op::fill:
+        case Op::slice:
+          break;  // host-side
+      }
     }
-    kernel_floats += elements * (node.components == 1 ? 1 : 4);
-    peak_floats = std::max(peak_floats, kernel_floats);
+    return chunk;
   }
-  return peak_floats * sizeof(float);
+
+  /// Calls fn(slab cells) for every chunk of a slab plan, in run order.
+  template <typename Fn>
+  void for_each_chunk(Fn&& fn) const {
+    for (std::size_t begin = plan_.begin_plane; begin < plan_.end_plane;
+         begin += step_) {
+      fn(slab_cells(begin));
+    }
+  }
+
+  /// The largest slab any chunk of a slab plan runs over. Every chunk
+  /// between the first and the last is full and keeps both halos inside
+  /// the domain (a halo is at most one plane), so the first, second and
+  /// last chunks bound them all.
+  std::size_t largest_slab() const {
+    if (plan_.begin_plane >= plan_.end_plane) return 0;
+    const std::size_t last =
+        (plan_.end_plane - plan_.begin_plane - 1) / step_;
+    std::size_t largest = 0;
+    for (const std::size_t k : {std::size_t{0}, std::min<std::size_t>(1, last),
+                                last}) {
+      largest = std::max(largest, slab_cells(plan_.begin_plane + k * step_));
+    }
+    return largest;
+  }
+
+  std::size_t peak_bytes() const { return peak_ * sizeof(float); }
+  /// Seconds per event kind, accumulated in command order and combined in
+  /// vcl::EventKind order as ProfilingLog totals them, so a fault-free
+  /// run's measured simulated seconds equal them exactly.
+  double seconds() const { return writes_ + reads_ + kernels_; }
+
+ private:
+  /// Cells of the slab whose interior begins at plane `begin`.
+  std::size_t slab_cells(std::size_t begin) const {
+    const SlabPlan& slab = plan_.slab;
+    const std::size_t end = std::min(plan_.end_plane, begin + step_);
+    return (slab.slab_hi(end) - slab.slab_lo(begin)) * slab.plane_cells;
+  }
+
+  /// Prices one transfer into its event kind's total.
+  double transfer(std::size_t floats, double& total) {
+    if (cost_ == nullptr) return 0.0;
+    const double seconds = cost_->transfer_seconds(floats * sizeof(float));
+    total += seconds;
+    return seconds;
+  }
+
+  const CommandPlan& plan_;
+  const Residency* residency_;
+  const vcl::CostModel* cost_;
+  double efficiency_;
+  /// Planes per chunk (slab plans).
+  std::size_t step_;
+  std::vector<std::size_t> floats_;
+  /// Floats a buffer holds against device memory (0 when resident).
+  std::vector<std::size_t> charged_;
+  std::size_t live_ = 0;
+  std::size_t peak_ = 0;
+  double writes_ = 0.0;
+  double reads_ = 0.0;
+  double kernels_ = 0.0;
+};
+
+std::size_t plan_high_water(const CommandPlan& plan,
+                            const Residency* residency) {
+  Walker walker(plan, residency);
+  // Chunks run one after another and free everything they allocate, and
+  // every size grows with the slab, so the largest slab sets the peak.
+  walker.walk(plan.slabbed ? walker.largest_slab() : plan.elements);
+  return walker.peak_bytes();
 }
 
-std::size_t staged_high_water(const dataflow::Network& network,
-                              const FieldBindings& bindings,
-                              std::size_t elements,
-                              const Residency* residency) {
-  // Replays StagedStrategy's allocation discipline: lazy source
-  // materialisation at first consumer, output allocation before input
-  // release, reference-counted release after each filter.
-  const auto& spec = network.spec();
-  std::vector<int> refs = network.use_counts();
-  std::vector<bool> live(spec.nodes().size(), false);
-  std::vector<std::size_t> floats(spec.nodes().size(), 0);
-  std::size_t current = 0;
-  std::size_t peak = 0;
-
-  const auto materialise = [&](int id) {
-    if (live[id]) return;
-    floats[id] = warm_field(spec, id, residency)
-                     ? 0
-                     : value_floats(spec, id, bindings, elements);
-    current += floats[id];
-    peak = std::max(peak, current);
-    live[id] = true;
+/// Simulated seconds of running `plan`; with `chunks`, also each chunk's
+/// (upload, kernel, read) split (one entry for a flat plan).
+double plan_sim_seconds(const CommandPlan& plan, const vcl::CostModel& cost,
+                        double efficiency, const Residency* residency,
+                        std::vector<vcl::ChunkCost>* chunks = nullptr) {
+  Walker walker(plan, residency, &cost, efficiency);
+  const auto run = [&](std::size_t cells) {
+    const vcl::ChunkCost chunk = walker.walk(cells);
+    if (chunks != nullptr) chunks->push_back(chunk);
   };
-
-  for (const int id : network.topo_order()) {
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type != dataflow::NodeType::filter) continue;
-    for (const int in : node.inputs) materialise(in);
-    materialise(id);  // the filter's output buffer
-    for (const int in : node.inputs) {
-      if (--refs[in] == 0) {
-        current -= floats[in];
-        live[in] = false;
-      }
-    }
-  }
-  const int out_id = spec.output_id();
-  if (!live[out_id]) materialise(out_id);
-  return peak * sizeof(float);
-}
-
-std::size_t fusion_high_water(const dataflow::Network& network,
-                              const FieldBindings& bindings,
-                              std::size_t elements,
-                              const Residency* residency) {
-  // Covers both the single-kernel case (inputs + output) and the
-  // partitioned pipeline, whose materialised intermediates stay on the
-  // device for the whole run. The cached pipeline is the very object the
-  // fusion strategy executes, so the estimate replays its exact programs.
-  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
-      kernels::ProgramCache::instance().fused_pipeline(network);
-  std::set<std::string> fields;
-  std::size_t floats = 0;
-  for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
-    floats += elements * stage.program.out_stride();
-    for (const kernels::BufferParam& param : stage.program.params()) {
-      if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second &&
-          (residency == nullptr || !residency->is_warm(param.name))) {
-        floats += bindings.get(param.name).size();
-      }
-    }
-  }
-  return floats * sizeof(float);
-}
-
-/// Replicates StreamedFusionStrategy's chunk sizing for an explicit cell
-/// budget (0 -> one plane).
-std::size_t planes_for_chunk(const SlabPlan& plan, std::size_t chunk_cells) {
-  if (chunk_cells == 0) return 1;
-  std::size_t planes =
-      chunk_cells / std::max<std::size_t>(plan.plane_cells, 1);
-  if (planes > 2 * plan.halo) {
-    planes -= 2 * plan.halo;
+  if (!plan.slabbed) {
+    run(plan.elements);
   } else {
-    planes = 1;
+    walker.for_each_chunk(run);
   }
-  return std::min(std::max<std::size_t>(planes, 1), plan.total_planes);
-}
-
-
-std::size_t streamed_high_water(const dataflow::Network& network,
-                                const FieldBindings& bindings,
-                                std::size_t elements,
-                                std::size_t chunk_cells) {
-  const std::shared_ptr<const kernels::Program> program_ptr =
-      kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
-  const SlabPlan plan = make_slab_plan(program, bindings, elements);
-
-  const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
-  // The peak is the largest slab over the chunk sequence; boundary chunks
-  // clamp their halo at the domain faces exactly as run_fused_slab does.
-  std::size_t max_slab_planes = 0;
-  for (std::size_t begin = 0; begin < plan.total_planes;
-       begin += chunk_planes) {
-    const std::size_t end = std::min(plan.total_planes, begin + chunk_planes);
-    const std::size_t slab_lo = begin > plan.halo ? begin - plan.halo : 0;
-    const std::size_t slab_hi = std::min(plan.total_planes, end + plan.halo);
-    max_slab_planes = std::max(max_slab_planes, slab_hi - slab_lo);
-  }
-  const std::size_t slab_cells = max_slab_planes * plan.plane_cells;
-  const std::size_t dims_params =
-      program.params().size() - plan.slabbed_params;
-  const std::size_t floats = plan.slabbed_params * slab_cells +
-                             dims_params * 3 +
-                             slab_cells * program.out_stride();
-  return floats * sizeof(float);
-}
-
-/// Replays FusionStrategy's command stream: unique field uploads at first
-/// use, one kernel per pipeline stage, one readback of the final stage's
-/// buffer.
-double fusion_sim_seconds(const dataflow::Network& network,
-                          const FieldBindings& bindings,
-                          std::size_t elements, const vcl::CostModel& cost,
-                          const Residency* residency, double efficiency) {
-  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
-      kernels::ProgramCache::instance().fused_pipeline(network);
-  std::set<std::string> fields;
-  double seconds = 0.0;
-  std::size_t final_stride = 1;
-  for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
-    for (const kernels::BufferParam& param : stage.program.params()) {
-      if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second &&
-          (residency == nullptr || !residency->is_warm(param.name))) {
-        seconds += cost.transfer_seconds(bindings.get(param.name).size() *
-                                         sizeof(float));
-      }
-    }
-    seconds += cost.kernel_seconds(
-        stage.program.flops_per_item() * elements,
-        stage.program.global_bytes_per_item() * elements,
-        stage.program.max_live_scalar_registers(), efficiency);
-    if (stage.node_id == network.output_id()) {
-      final_stride = stage.program.out_stride();
-    }
-  }
-  seconds += cost.transfer_seconds(elements * final_stride * sizeof(float));
-  return seconds;
-}
-
-/// Replays StagedStrategy's command stream: lazy source materialisation
-/// (field upload or const_fill kernel at first consumer), one standalone
-/// kernel per filter, one readback of the output buffer.
-double staged_sim_seconds(const dataflow::Network& network,
-                          const FieldBindings& bindings,
-                          std::size_t elements, const vcl::CostModel& cost,
-                          const Residency* residency, double efficiency) {
-  const auto& spec = network.spec();
-  std::vector<bool> materialised(spec.nodes().size(), false);
-  double seconds = 0.0;
-
-  const auto materialise_source = [&](int id) {
-    if (materialised[id]) return;
-    materialised[id] = true;
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type == dataflow::NodeType::field_source) {
-      if (warm_field(spec, id, residency)) return;  // no upload
-      seconds += cost.transfer_seconds(bindings.get(node.field_name).size() *
-                                       sizeof(float));
-    } else {  // constant: one fill kernel
-      const std::shared_ptr<const kernels::Program> fill =
-          kernels::ProgramCache::instance().standalone(
-              "const_fill", 0, static_cast<float>(node.const_value));
-      seconds += cost.kernel_seconds(
-          fill->flops_per_item() * elements,
-          fill->global_bytes_per_item() * elements,
-          fill->max_live_scalar_registers(), efficiency);
-    }
-  };
-
-  for (const int id : network.topo_order()) {
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type != dataflow::NodeType::filter) continue;
-    for (const int in : node.inputs) {
-      if (spec.node(in).type != dataflow::NodeType::filter) {
-        materialise_source(in);
-      }
-    }
-    const std::shared_ptr<const kernels::Program> program =
-        kernels::ProgramCache::instance().standalone(node.kind,
-                                                     node.component);
-    seconds += cost.kernel_seconds(
-        program->flops_per_item() * elements,
-        program->global_bytes_per_item() * elements,
-        program->max_live_scalar_registers(), efficiency);
-    materialised[id] = true;
-  }
-
-  const int out_id = spec.output_id();
-  if (!materialised[out_id]) materialise_source(out_id);
-  seconds += cost.transfer_seconds(
-      value_floats(spec, out_id, bindings, elements) * sizeof(float));
-  return seconds;
-}
-
-/// Replays RoundtripStrategy's command stream: per filter (decompose is
-/// host-side slicing), one upload per argument occurrence, the kernel, and
-/// a readback of the result.
-double roundtrip_sim_seconds(const dataflow::Network& network,
-                             const FieldBindings& bindings,
-                             std::size_t elements,
-                             const vcl::CostModel& cost,
-                             const Residency* residency, double efficiency) {
-  const auto& spec = network.spec();
-  double seconds = 0.0;
-  for (const int id : network.topo_order()) {
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type != dataflow::NodeType::filter) continue;
-    if (node.kind == "decompose") continue;  // host-side slicing
-    for (const int in : node.inputs) {
-      if (warm_field(spec, in, residency)) continue;  // resident already
-      seconds += cost.transfer_seconds(
-          value_floats(spec, in, bindings, elements) * sizeof(float));
-    }
-    const std::shared_ptr<const kernels::Program> program =
-        kernels::ProgramCache::instance().standalone(node.kind,
-                                                     node.component);
-    seconds += cost.kernel_seconds(
-        program->flops_per_item() * elements,
-        program->global_bytes_per_item() * elements,
-        program->max_live_scalar_registers(), efficiency);
-    seconds += cost.transfer_seconds(elements * program->out_stride() *
-                                     sizeof(float));
-  }
-  return seconds;
+  return walker.seconds();
 }
 
 }  // namespace
@@ -307,41 +185,11 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
     const dataflow::Network& network, const FieldBindings& bindings,
     std::size_t elements, const vcl::DeviceSpec& spec,
     std::size_t chunk_cells, double compute_efficiency) {
-  const double efficiency = resolve_efficiency(compute_efficiency);
-  const std::shared_ptr<const kernels::Program> program_ptr =
-      kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
-  const SlabPlan plan = make_slab_plan(program, bindings, elements);
-  const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
-  const std::size_t dims_params =
-      program.params().size() - plan.slabbed_params;
-  const vcl::CostModel cost(spec);
-
   std::vector<vcl::ChunkCost> chunks;
-  for (std::size_t begin = 0; begin < plan.total_planes;
-       begin += chunk_planes) {
-    const std::size_t end = std::min(plan.total_planes, begin + chunk_planes);
-    const std::size_t slab_lo = begin > plan.halo ? begin - plan.halo : 0;
-    const std::size_t slab_hi = std::min(plan.total_planes, end + plan.halo);
-    const std::size_t slab_cells = (slab_hi - slab_lo) * plan.plane_cells;
-
-    vcl::ChunkCost chunk;
-    // One transfer per parameter, each paying the link latency, exactly
-    // like run_fused_slab's per-buffer writes.
-    for (std::size_t p = 0; p < plan.slabbed_params; ++p) {
-      chunk.upload += cost.transfer_seconds(slab_cells * sizeof(float));
-    }
-    for (std::size_t p = 0; p < dims_params; ++p) {
-      chunk.upload += cost.transfer_seconds(3 * sizeof(float));
-    }
-    chunk.kernel = cost.kernel_seconds(
-        program.flops_per_item() * slab_cells,
-        program.global_bytes_per_item() * slab_cells,
-        program.max_live_scalar_registers(), efficiency);
-    chunk.read = cost.transfer_seconds(slab_cells * program.out_stride() *
-                                       sizeof(float));
-    chunks.push_back(chunk);
-  }
+  plan_sim_seconds(
+      lower(StrategyKind::streamed, network, bindings, elements, chunk_cells),
+      vcl::CostModel(spec), resolve_efficiency(compute_efficiency), nullptr,
+      &chunks);
   return chunks;
 }
 
@@ -366,19 +214,9 @@ std::size_t estimate_high_water(const dataflow::Network& network,
                                 std::size_t elements, StrategyKind kind,
                                 std::size_t streamed_chunk_cells,
                                 const Residency* residency) {
-  switch (kind) {
-    case StrategyKind::roundtrip:
-      return roundtrip_high_water(network, bindings, elements, residency);
-    case StrategyKind::staged:
-      return staged_high_water(network, bindings, elements, residency);
-    case StrategyKind::fusion:
-      return fusion_high_water(network, bindings, elements, residency);
-    case StrategyKind::streamed:
-      // Residency-unaware by design (see Residency's comment).
-      return streamed_high_water(network, bindings, elements,
-                                 streamed_chunk_cells);
-  }
-  throw Error("unknown strategy kind");
+  return plan_high_water(
+      lower(kind, network, bindings, elements, streamed_chunk_cells),
+      residency);
 }
 
 double estimate_sim_seconds(const dataflow::Network& network,
@@ -388,35 +226,17 @@ double estimate_sim_seconds(const dataflow::Network& network,
                             std::size_t streamed_chunk_cells,
                             const Residency* residency,
                             double compute_efficiency) {
-  const double efficiency = resolve_efficiency(compute_efficiency);
-  const vcl::CostModel cost(spec);
-  switch (kind) {
-    case StrategyKind::fusion:
-      return fusion_sim_seconds(network, bindings, elements, cost, residency,
-                                efficiency);
-    case StrategyKind::staged:
-      return staged_sim_seconds(network, bindings, elements, cost, residency,
-                                efficiency);
-    case StrategyKind::roundtrip:
-      return roundtrip_sim_seconds(network, bindings, elements, cost,
-                                   residency, efficiency);
-    case StrategyKind::streamed:
-      try {
-        double seconds = 0.0;
-        for (const vcl::ChunkCost& chunk :
-             streamed_chunk_costs(network, bindings, elements, spec,
-                                  streamed_chunk_cells, efficiency)) {
-          seconds += chunk.upload + chunk.kernel + chunk.read;
-        }
-        return seconds;
-      } catch (const KernelError&) {
-        // Streamed cannot execute this network; the ladder would land on a
-        // neighbouring rung, whose cost is close enough for budgeting.
-        return fusion_sim_seconds(network, bindings, elements, cost,
-                                  residency, efficiency);
-      }
+  CommandPlan plan;
+  try {
+    plan = lower(kind, network, bindings, elements, streamed_chunk_cells);
+  } catch (const KernelError&) {
+    if (kind != StrategyKind::streamed) throw;
+    // Streamed cannot execute this network; the ladder would land on a
+    // neighbouring rung, whose cost is close enough for budgeting.
+    plan = lower(StrategyKind::fusion, network, bindings, elements);
   }
-  throw Error("unknown strategy kind");
+  return plan_sim_seconds(plan, vcl::CostModel(spec),
+                          resolve_efficiency(compute_efficiency), residency);
 }
 
 StrategyKind select_strategy(const dataflow::Network& network,
@@ -454,6 +274,7 @@ StrategyKind select_fastest_strategy(const dataflow::Network& network,
                                      const Residency* residency,
                                      double compute_efficiency) {
   const double efficiency = resolve_efficiency(compute_efficiency);
+  const vcl::CostModel cost(device.spec());
   const std::size_t free_bytes = device.effective_available();
   bool found = false;
   StrategyKind best = StrategyKind::roundtrip;
@@ -464,20 +285,18 @@ StrategyKind select_fastest_strategy(const dataflow::Network& network,
   for (const StrategyKind kind :
        {StrategyKind::fusion, StrategyKind::streamed, StrategyKind::staged,
         StrategyKind::roundtrip}) {
-    std::size_t needed;
+    CommandPlan plan;
     try {
-      needed = estimate_high_water(network, bindings, elements, kind, 0,
-                                   residency);
+      plan = lower(kind, network, bindings, elements);
     } catch (const KernelError&) {
       continue;
     }
+    const std::size_t needed = plan_high_water(plan, residency);
     if (needed > free_bytes) {
       smallest = std::min(smallest, needed);
       continue;
     }
-    const double seconds =
-        estimate_sim_seconds(network, bindings, elements, device.spec(), kind,
-                             0, residency, efficiency);
+    const double seconds = plan_sim_seconds(plan, cost, efficiency, residency);
     if (!found || seconds < best_seconds) {
       found = true;
       best = kind;

@@ -2,18 +2,23 @@
 //
 // The paper's discussion (§V-D) concludes that hosts must "select from
 // multiple execution strategies and target devices" under memory
-// constraints. This module makes that selection analytical: it predicts
-// each strategy's device-memory high-water mark from the network alone —
-// no execution, no trial allocation — by replaying the exact allocation
-// discipline each strategy implements. Predictions are bit-for-bit equal
-// to the tracker's measured high-water (locked in by tests), so a host can
-// pick the fastest strategy that fits before moving a single byte.
+// constraints. This module makes that selection analytical: it lowers the
+// network under each strategy to the very CommandPlan the strategy would
+// execute (strategy.hpp) and *walks* it instead of running it — replaying
+// the plan's allocations and frees for the device-memory high-water mark,
+// and pricing each of its commands with the device cost model for the
+// simulated duration. Nothing executes and nothing is allocated, yet the
+// predictions equal the tracker's measured high-water and the log's
+// simulated seconds exactly (locked in by tests), so a host can pick the
+// fastest strategy that fits before moving a single byte.
 #pragma once
 
 #include <cstddef>
 
+#include <functional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/network.hpp"
@@ -27,15 +32,16 @@ namespace dfg::runtime {
 /// Which of a network's field inputs are warm — already resident on the
 /// target device, so a strategy would eliminate their uploads entirely.
 /// Passed to the estimators (nullptr = all-cold, the historical behaviour,
-/// bit-exact against the tracker with the pool disabled). The streamed
-/// estimators deliberately ignore residency: slab sub-ranges are keyed per
-/// chunk, so warmth there depends on chunk alignment — pricing them cold
-/// keeps streamed estimates conservative.
+/// bit-exact against the tracker with the pool disabled). The walker skips
+/// the warm field uploads of a plan. Streamed estimates deliberately ignore
+/// residency: slab sub-ranges are keyed per chunk, so warmth there depends
+/// on chunk alignment — pricing them cold keeps streamed estimates
+/// conservative.
 struct Residency {
-  std::set<std::string> warm;
+  std::set<std::string, std::less<>> warm;
 
-  bool is_warm(const std::string& name) const {
-    return warm.count(name) != 0;
+  bool is_warm(std::string_view name) const {
+    return warm.find(name) != warm.end();
   }
 
   /// Asks the device's resident pool which of `network`'s bound fields
@@ -47,8 +53,8 @@ struct Residency {
 
 /// Predicted device-memory high-water mark (bytes) of executing `network`
 /// over `elements` cells under `kind`. For the streamed strategy the
-/// prediction assumes the given chunk size (0 = the minimal viable chunk,
-/// i.e. the strategy's memory floor). Bindings are consulted for array
+/// prediction assumes the given chunk size (0 = the one-plane floor, see
+/// CommandPlan::chunk_planes). Bindings are consulted for array
 /// extents only; no data is read. With `residency`, warm field inputs are
 /// excluded from the working set (their buffers already exist; the
 /// device's free memory already accounts for them).
@@ -60,9 +66,11 @@ std::size_t estimate_high_water(const dataflow::Network& network,
 
 /// Per-chunk (upload, kernel, read) durations of streamed execution under
 /// `spec`'s cost model, for overlap analysis with vcl::pipeline_makespan.
-/// The serial sum of these costs equals the streamed strategy's simulated
-/// time on that device exactly (same cost model, same event sequence).
-/// `chunk_cells` = 0 chunks one plane at a time.
+/// The serial sum of these costs is the streamed strategy's simulated
+/// time on that device (same cost model, same event sequence), up to
+/// summation order; estimate_sim_seconds gives the exact figure.
+/// `chunk_cells` = 0 chunks one plane at a time. The walk is O(chunks)
+/// arithmetic: a streamed plan holds one slab body, not one per chunk.
 ///
 /// `compute_efficiency` (here and in estimate_sim_seconds /
 /// select_fastest_strategy below) is the executing backend's fraction of
@@ -78,8 +86,8 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
 
 /// Predicted simulated duration (seconds) of executing `network` over
 /// `elements` cells under `kind` on a device described by `spec` —
-/// obtained by replaying the strategy's command stream against the cost
-/// model, without executing anything. The distributed engine derives its
+/// obtained by pricing the strategy's command plan with the cost model,
+/// without executing anything. The distributed engine derives its
 /// per-block straggler budgets from this: a block whose measured simulated
 /// time exceeds a multiple of the estimate is declared straggling and
 /// speculatively re-executed on a healthy device. For the streamed

@@ -1,8 +1,9 @@
 #include "runtime/reference.hpp"
 
-#include "kernels/vm.hpp"
+#include <memory>
+
+#include "kernels/generator.hpp"
 #include "runtime/strategy.hpp"
-#include "vcl/queue.hpp"
 
 namespace dfg::runtime {
 
@@ -130,24 +131,11 @@ std::vector<float> run_reference(const kernels::Program& program,
                                  const FieldBindings& bindings,
                                  std::size_t elements, vcl::Device& device,
                                  vcl::ProfilingLog& log) {
-  vcl::CommandQueue queue(device, log);
-  std::vector<vcl::Buffer> input_buffers;
-  std::vector<kernels::BufferBinding> input_bindings;
-  input_buffers.reserve(program.params().size());
-  for (const kernels::BufferParam& param : program.params()) {
-    const auto view = bindings.get(param.name);
-    vcl::Buffer buffer = device.allocate(view.size());
-    queue.write(buffer, view, param.name);
-    input_bindings.push_back(
-        kernels::BufferBinding{buffer.device_view().data(), buffer.size()});
-    input_buffers.push_back(std::move(buffer));
-  }
-  vcl::Buffer out_buffer = device.allocate(elements * program.out_stride());
-  launch_program(queue, program, std::move(input_bindings),
-                 out_buffer.device_view(), elements);
-  std::vector<float> result(out_buffer.size());
-  queue.read(out_buffer, result, program.name());
-  result.resize(elements);
+  auto pipeline = std::make_shared<kernels::FusedPipeline>();
+  pipeline->stages.push_back({-1, program});
+  std::vector<float> result;
+  run_plan(lower_pipeline(pipeline, bindings, elements, program.name()),
+           device, log, result);
   return result;
 }
 

@@ -12,31 +12,37 @@
 
 namespace dfg::vcl {
 
-namespace {
-
-/// Mirrors one recorded Event into the metrics registry: the per-device
-/// event/byte/sim-nanosecond counters (always live — the report structs are
-/// views over their deltas) and, when metrics are enabled, the per-command
-/// simulated-latency histogram. Commands execute on the evaluating thread
-/// (parallel_for workers never reach here), so thread-shard deltas
-/// attribute exactly one evaluation's traffic.
-void count_event(const std::string& device, EventKind kind, std::size_t bytes,
-                 std::uint64_t flops, double sim_seconds) {
-  obs::MetricsRegistry& reg = obs::metrics();
-  const obs::Labels by_kind{{"device", device},
-                            {"kind", event_kind_slug(kind)}};
-  const std::uint64_t nanos = obs::sim_nanos(sim_seconds);
-  reg.add(reg.counter("dfgen_vcl_events_total", by_kind));
-  reg.add(reg.counter("dfgen_vcl_bytes_total", by_kind), bytes);
-  reg.add(reg.counter("dfgen_vcl_sim_nanos_total", by_kind), nanos);
-  if (flops != 0) {
-    reg.add(reg.counter("dfgen_vcl_flops_total", {{"device", device}}),
-            flops);
+void CommandQueue::count_event(EventKind kind, std::size_t bytes,
+                               std::uint64_t flops, double sim_seconds) {
+  // Commands execute on the evaluating thread (parallel_for workers never
+  // reach here), so thread-shard deltas attribute exactly one evaluation's
+  // traffic.
+  obs::MetricsRegistry& reg = *registry_;
+  const std::string& device = device_->spec().name;
+  EventSeries& series = series_[static_cast<std::size_t>(kind)];
+  if (!series.resolved) {
+    const obs::Labels by_kind{{"device", device},
+                              {"kind", event_kind_slug(kind)}};
+    series.events = reg.counter("dfgen_vcl_events_total", by_kind);
+    series.bytes = reg.counter("dfgen_vcl_bytes_total", by_kind);
+    series.sim_nanos = reg.counter("dfgen_vcl_sim_nanos_total", by_kind);
+    series.command_sim_nanos =
+        reg.histogram("dfgen_vcl_command_sim_nanos", by_kind);
+    series.resolved = true;
   }
-  reg.observe(reg.histogram("dfgen_vcl_command_sim_nanos", by_kind), nanos);
+  const std::uint64_t nanos = obs::sim_nanos(sim_seconds);
+  reg.add(series.events);
+  reg.add(series.bytes, bytes);
+  reg.add(series.sim_nanos, nanos);
+  if (flops != 0) {
+    if (!flops_series_) {
+      flops_series_ =
+          reg.counter("dfgen_vcl_flops_total", {{"device", device}});
+    }
+    reg.add(*flops_series_, flops);
+  }
+  reg.observe(series.command_sim_nanos, nanos);
 }
-
-}  // namespace
 
 void CommandQueue::run_command(
     EventKind site, const std::string& label, std::size_t bytes,
@@ -67,7 +73,7 @@ void CommandQueue::run_command(
         log_->record(Event{EventKind::fault,
                            "retry:" + std::string(site_name) + ":" + label,
                            0, 0, backoff, 0.0});
-        count_event(device_name, EventKind::fault, 0, 0, backoff);
+        count_event(EventKind::fault, 0, 0, backoff);
         obs::metrics().add(obs::metrics().counter(
             "dfgen_vcl_command_retries_total", {{"device", device_name}}));
         span.add_sim_seconds(backoff);
@@ -90,7 +96,7 @@ void CommandQueue::run_command(
       log_->record(Event{EventKind::timeout,
                          "timeout:" + std::string(site_name) + ":" + label,
                          bytes, 0, deadline, 0.0});
-      count_event(device_name, EventKind::timeout, bytes, 0, deadline);
+      count_event(EventKind::timeout, bytes, 0, deadline);
       span.add_sim_seconds(deadline);
       // A hang is one wedged command: a fresh attempt probes the device
       // and is absorbed by the retry budget. An over-deadline slowdown is
@@ -125,7 +131,7 @@ void CommandQueue::run_command(
       log_->record(Event{EventKind::integrity,
                          "checksum:" + std::string(site_name) + ":" + label,
                          bytes, 0, charged, wall});
-      count_event(device_name, EventKind::integrity, bytes, 0, charged);
+      count_event(EventKind::integrity, bytes, 0, charged);
       span.add_sim_seconds(charged);
       if (attempt >= policy.max_attempts) {
         throw DataCorruption(device_->spec().name, site_name, label);
@@ -134,7 +140,7 @@ void CommandQueue::run_command(
     }
 
     log_->record(Event{site, label, bytes, flops, charged, wall});
-    count_event(device_name, site, bytes, flops, charged);
+    count_event(site, bytes, flops, charged);
     span.add_sim_seconds(charged);
     complete();
     return;

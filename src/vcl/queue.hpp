@@ -26,12 +26,15 @@
 // byte-identical to a build without them.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "support/checksum.hpp"
 #include "vcl/buffer.hpp"
 #include "vcl/cost_model.hpp"
@@ -71,6 +74,7 @@ class CommandQueue {
       : device_(&device),
         log_(&log),
         cost_(device.spec()),
+        registry_(&obs::metrics()),
         integrity_seed_(support::fnv1a(device.spec().name)) {
     // Injected faults during this queue's lifetime (including allocation
     // faults raised outside the queue) are recorded into this log.
@@ -112,9 +116,29 @@ class CommandQueue {
   /// Marks a command complete (advances the device-loss countdown).
   void complete();
 
+  /// Mirrors one recorded Event into the metrics registry: the per-device
+  /// event/byte/sim-nanosecond counters (always live — the report structs
+  /// are views over their deltas) and, when metrics are enabled, the
+  /// per-command simulated-latency histogram.
+  void count_event(EventKind kind, std::size_t bytes, std::uint64_t flops,
+                   double sim_seconds);
+
+  /// One event kind's registry series on this queue's device, resolved at
+  /// the kind's first event (so unused kinds register nothing).
+  struct EventSeries {
+    bool resolved = false;
+    obs::MetricId events = 0;
+    obs::MetricId bytes = 0;
+    obs::MetricId sim_nanos = 0;
+    obs::MetricId command_sim_nanos = 0;
+  };
+
   Device* device_;
   ProfilingLog* log_;
   CostModel cost_;
+  obs::MetricsRegistry* registry_;
+  std::array<EventSeries, kEventKindCount> series_{};
+  std::optional<obs::MetricId> flops_series_;
   /// Seed of the transfer checksums, derived from the device name so two
   /// devices never share a digest stream.
   std::uint64_t integrity_seed_;

@@ -88,6 +88,25 @@ TEST(Straggler, MildSlowdownIsSpeculatedAndTheFastResultWins) {
   EXPECT_GT(report.total_sim_seconds, baseline.total_sim_seconds);
 }
 
+TEST(Straggler, BudgetIsPricedAtThePinnedBackendsEfficiency) {
+  // A compute-bound device pinned to the jit backend: kernels are charged
+  // at the compiled efficiency, so the block budget must be priced at it
+  // too. A 3x slowdown then exceeds the 2x budget; pricing the reference at
+  // the interpreted efficiency (twice the kernel time) would hide it.
+  ClusterFixture fx;
+  distrib::ClusterConfig cfg = fx.config();
+  cfg.device_spec.gflops = 0.5;
+  cfg.device_spec.launch_overhead_us = 0.0;
+  cfg.backend = kernels::BackendKind::jit;
+  cfg.straggler_budget_factor = 2.0;
+  cfg.fault_plan.slow_command_index = 1;
+  cfg.fault_plan.slowdown_factor = 3.0;
+  cfg.fault_rank = 0;
+  const distrib::DistributedReport report = fx.run(cfg);
+  EXPECT_EQ(report.command_timeouts, 0u);
+  EXPECT_GE(report.straggler_blocks, 1u);
+}
+
 TEST(Straggler, SpeculationDisabledByZeroBudgetFactor) {
   ClusterFixture fx;
   distrib::ClusterConfig cfg = fx.config();

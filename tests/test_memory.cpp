@@ -44,8 +44,7 @@ double high_water_arrays(const dataflow::Network& network, StrategyKind kind,
   }
   vcl::Device device(vcl::xeon_x5660_scaled());
   vcl::ProfilingLog log;
-  const auto strategy = runtime::make_strategy(kind);
-  strategy->execute(network, bindings, elements, device, log);
+  runtime::execute_strategy(kind, network, bindings, elements, device, log);
   return static_cast<double>(device.memory().high_water()) /
          static_cast<double>(elements * sizeof(float));
 }

@@ -205,8 +205,7 @@ r = sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])
   // And it really runs.
   vcl::ProfilingLog log;
   EXPECT_NO_THROW(
-      runtime::make_strategy(kind)->execute(network, bindings, cells, device,
-                                            log));
+      runtime::execute_strategy(kind, network, bindings, cells, device, log));
 }
 
 TEST(PartitionedFusion, GradOfConstantRejectedAtSpecLevel) {

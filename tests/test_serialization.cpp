@@ -53,11 +53,12 @@ TEST(ScriptIo, ReloadedNetworkEvaluatesIdentically) {
       expressions::kVorticityMagnitude));
   dataflow::Network net_b{dataflow::parse_script(script)};
   vcl::ProfilingLog log;
-  const auto strategy = runtime::make_strategy(runtime::StrategyKind::fusion);
-  const auto a = strategy->execute(net_a, bindings, mesh.cell_count(),
-                                   device, log);
-  const auto b = strategy->execute(net_b, bindings, mesh.cell_count(),
-                                   device, log);
+  const auto a = runtime::execute_strategy(runtime::StrategyKind::fusion,
+                                           net_a, bindings, mesh.cell_count(),
+                                           device, log);
+  const auto b = runtime::execute_strategy(runtime::StrategyKind::fusion,
+                                           net_b, bindings, mesh.cell_count(),
+                                           device, log);
   EXPECT_EQ(a, b);
 }
 

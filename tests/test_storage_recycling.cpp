@@ -60,7 +60,7 @@ TEST(StorageRecycling, PoisonedFreeListNeverReachesAnOutput) {
   // 19x7x5 keeps the cell count off the tile size and every coordinate
   // array a distinct length.
   const mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform(
-      {19, 7, 5}, 6.283185307179586, 6.283185307179586, 6.283185307179586);
+      {19, 7, 5}, 6.2831853f, 6.2831853f, 6.2831853f);
   const mesh::VectorField field = mesh::abc_flow(mesh);
   const std::size_t cells = mesh.cell_count();
   // Every size an evaluation below allocates: dims, the three coordinate

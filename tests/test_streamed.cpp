@@ -11,7 +11,6 @@
 #include "core/expressions.hpp"
 #include "mesh/generators.hpp"
 #include "runtime/multidevice.hpp"
-#include "runtime/slab.hpp"
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
 #include "vcl/catalog.hpp"
